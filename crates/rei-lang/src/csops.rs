@@ -33,6 +33,17 @@
 //! entirely; see the [`GuideMasks`] docs for the entry layout and the
 //! memory trade-off against the pair table.
 //!
+//! # One body per operation
+//!
+//! Each operation has exactly one CPU body, at every row width. Next to
+//! the fast bodies live their references: [`concat_into_unstaged`]
+//! enumerates the splits of each word on the fly, with no staging, and
+//! is the definition [`concat_into`] and the GPU body [`concat_word_bit`]
+//! are tested against; [`star_into_linear`] is the definition of
+//! [`star_into`]. [`concat_into_gather`] and [`star_into_linear`] are
+//! also the baselines the kernel speedup tripwire in `BENCH_core.json`
+//! measures against.
+//!
 //! [`GuideMasks`]: crate::GuideMasks
 //!
 //! [`MaskEntry`]: crate::MaskEntry
@@ -119,38 +130,11 @@ pub fn concat_word_bit(a: &[u64], b: &[u64], guide: &GuideTable, w: usize) -> bo
 /// result. Work is proportional to `popcount(a) ×` (entries per row)
 /// instead of `num_words ×` (splits per word).
 ///
-/// Dispatches to the SIMD kernel tier ([`crate::simd`]) when the runtime
-/// probe found one and the mask rows are long enough to fill lanes;
-/// [`concat_into_scalar`] is the portable path it is always bit-for-bit
-/// equal to.
-///
 /// # Panics
 ///
 /// Panics if `dst` or `b` is too short for the bit positions the mask
 /// table references.
 pub fn concat_into(dst: &mut [u64], a: &[u64], b: &[u64], masks: &GuideMasks) {
-    concat_into_simd(dst, a, b, masks);
-}
-
-/// The explicitly accelerated concatenation entry point: the SIMD quad
-/// kernel when the probe allows it, [`concat_into_scalar`] otherwise.
-/// Public (next to the scalar variant) so benches and parity tests can
-/// pin each tier; [`concat_into`] is this function.
-pub fn concat_into_simd(dst: &mut [u64], a: &[u64], b: &[u64], masks: &GuideMasks) {
-    if crate::simd::try_concat_into(dst, a, b, masks) {
-        return;
-    }
-    concat_into_scalar(dst, a, b, masks);
-}
-
-/// The portable scalar concatenation kernel — the semantics every
-/// accelerated path must match.
-///
-/// # Panics
-///
-/// Panics if `dst` or `b` is too short for the bit positions the mask
-/// table references.
-pub fn concat_into_scalar(dst: &mut [u64], a: &[u64], b: &[u64], masks: &GuideMasks) {
     clear(dst);
     let num_left = masks.num_left();
     for (block, &word) in a.iter().enumerate() {
@@ -195,9 +179,10 @@ pub fn concat_into_gather(dst: &mut [u64], a: &[u64], b: &[u64], guide: &GuideTa
 /// `dst := a · b` computed **without** the staged guide table, by
 /// enumerating the splits of every word on the fly.
 ///
-/// This exists only as the baseline for the guide-table ablation benchmark
-/// (`crates/bench/benches/ablation.rs`): it recomputes, for every target
-/// word, every split and
+/// This is the definition-level oracle the property tests check the
+/// staged kernels against, and the baseline for the guide-table ablation
+/// benchmark (`crates/bench/benches/ablation.rs`): it recomputes, for
+/// every target word, every split and
 /// two hash look-ups into the closure, which is exactly the work the guide
 /// table pre-computes once per synthesis run.
 pub fn concat_into_unstaged(dst: &mut [u64], a: &[u64], b: &[u64], ic: &crate::InfixClosure) {
@@ -231,10 +216,6 @@ pub fn concat_into_unstaged(dst: &mut [u64], a: &[u64], b: &[u64], ic: &crate::I
 /// `scratch` must have the same length as `dst` and holds the
 /// intermediate squares.
 ///
-/// Dispatches like [`concat_into`]: the squaring rounds run on whichever
-/// kernel tier the runtime probe selected ([`star_into_scalar`] /
-/// [`star_into_simd`] pin a tier explicitly).
-///
 /// # Panics
 ///
 /// Panics if `dst` and `scratch` have different lengths.
@@ -245,53 +226,11 @@ pub fn star_into(
     eps_index: usize,
     scratch: &mut [u64],
 ) {
-    star_into_simd(dst, a, masks, eps_index, scratch);
-}
-
-/// [`star_into`] with every squaring round pinned to the accelerated
-/// concatenation ([`concat_into_simd`], which itself falls back to
-/// scalar when no tier is available).
-///
-/// # Panics
-///
-/// Panics if `dst` and `scratch` have different lengths.
-pub fn star_into_simd(
-    dst: &mut [u64],
-    a: &[u64],
-    masks: &GuideMasks,
-    eps_index: usize,
-    scratch: &mut [u64],
-) {
     assert_eq!(dst.len(), scratch.len(), "scratch must match dst length");
     copy_into(dst, a);
     set_bit(dst, eps_index);
     loop {
-        concat_into_simd(scratch, dst, dst, masks);
-        if equal(scratch, dst) {
-            return;
-        }
-        copy_into(dst, scratch);
-    }
-}
-
-/// [`star_into`] with every squaring round pinned to the scalar
-/// concatenation kernel — the reference the accelerated star must match.
-///
-/// # Panics
-///
-/// Panics if `dst` and `scratch` have different lengths.
-pub fn star_into_scalar(
-    dst: &mut [u64],
-    a: &[u64],
-    masks: &GuideMasks,
-    eps_index: usize,
-    scratch: &mut [u64],
-) {
-    assert_eq!(dst.len(), scratch.len(), "scratch must match dst length");
-    copy_into(dst, a);
-    set_bit(dst, eps_index);
-    loop {
-        concat_into_scalar(scratch, dst, dst, masks);
+        concat_into(scratch, dst, dst, masks);
         if equal(scratch, dst) {
             return;
         }
@@ -338,27 +277,8 @@ pub fn star_into_linear(
 
 /// Returns `true` if `row` satisfies the positive/negative masks:
 /// `(row & pos) == pos` and `(row & neg) == 0`.
-///
-/// Dispatches the fold to the SIMD tier on wide equal-length rows;
-/// [`satisfies_scalar`] is the reference it always agrees with.
 #[inline]
 pub fn satisfies(row: &[u64], pos: &[u64], neg: &[u64]) -> bool {
-    satisfies_simd(row, pos, neg)
-}
-
-/// The explicitly accelerated satisfaction fold (falls back to
-/// [`satisfies_scalar`] when no lane path applies).
-#[inline]
-pub fn satisfies_simd(row: &[u64], pos: &[u64], neg: &[u64]) -> bool {
-    match crate::simd::try_violations(row, pos, neg) {
-        Some(any_violation) => !any_violation,
-        None => satisfies_scalar(row, pos, neg),
-    }
-}
-
-/// The portable scalar satisfaction fold.
-#[inline]
-pub fn satisfies_scalar(row: &[u64], pos: &[u64], neg: &[u64]) -> bool {
     row.iter()
         .zip(pos)
         .zip(neg)
@@ -367,27 +287,8 @@ pub fn satisfies_scalar(row: &[u64], pos: &[u64], neg: &[u64]) -> bool {
 
 /// Number of example words misclassified by `row`: positive words missing
 /// from the language plus negative words present in it.
-///
-/// Dispatches the fold to the SIMD tier on wide equal-length rows;
-/// [`misclassified_scalar`] is the reference it always agrees with.
 #[inline]
 pub fn misclassified(row: &[u64], pos: &[u64], neg: &[u64]) -> usize {
-    misclassified_simd(row, pos, neg)
-}
-
-/// The explicitly accelerated misclassification count (falls back to
-/// [`misclassified_scalar`] when no lane path applies).
-#[inline]
-pub fn misclassified_simd(row: &[u64], pos: &[u64], neg: &[u64]) -> usize {
-    match crate::simd::try_misclassified(row, pos, neg) {
-        Some(count) => count,
-        None => misclassified_scalar(row, pos, neg),
-    }
-}
-
-/// The portable scalar misclassification count.
-#[inline]
-pub fn misclassified_scalar(row: &[u64], pos: &[u64], neg: &[u64]) -> usize {
     row.iter()
         .zip(pos)
         .zip(neg)
@@ -567,8 +468,8 @@ mod tests {
     }
 
     /// All binary words of length ≤ `max_len` — an infix-closed set whose
-    /// rows span `2^(max_len+1)/64` blocks, wide enough to engage every
-    /// lane kernel (8 blocks at `max_len = 8`).
+    /// rows span `2^(max_len+1)/64` blocks: 8 at `max_len = 8`, 32 at
+    /// `10`, so mask entries carry bits across block boundaries.
     fn wide_closure(max_len: u32) -> InfixClosure {
         let words = (0..=max_len).flat_map(|len| {
             (0..(1u32 << len)).map(move |bits| {
@@ -578,78 +479,60 @@ mod tests {
         InfixClosure::of_words(words)
     }
 
-    /// Asserts every kernel's accelerated entry point agrees with its
-    /// scalar reference on the given operands.
-    fn assert_simd_parity(ic: &InfixClosure, gm: &GuideMasks, a: &Cs, b: &Cs) {
-        let width = ic.width();
-        let eps = ic.eps_index().unwrap();
-        let mut scalar = Cs::zero(width);
-        let mut simd = Cs::zero(width);
-        concat_into_scalar(scalar.blocks_mut(), a.blocks(), b.blocks(), gm);
-        concat_into_simd(simd.blocks_mut(), a.blocks(), b.blocks(), gm);
-        assert_eq!(scalar, simd, "concat tier mismatch");
-        let mut scratch = vec![0u64; width.blocks()];
-        star_into_scalar(scalar.blocks_mut(), a.blocks(), gm, eps, &mut scratch);
-        star_into_simd(simd.blocks_mut(), a.blocks(), gm, eps, &mut scratch);
-        assert_eq!(scalar, simd, "star tier mismatch");
-        for (row, pos, neg) in [(a, b, &scalar), (b, a, &simd), (&scalar, a, b)] {
-            assert_eq!(
-                satisfies_scalar(row.blocks(), pos.blocks(), neg.blocks()),
-                satisfies_simd(row.blocks(), pos.blocks(), neg.blocks()),
-                "satisfy fold tier mismatch"
-            );
-            assert_eq!(
-                misclassified_scalar(row.blocks(), pos.blocks(), neg.blocks()),
-                misclassified_simd(row.blocks(), pos.blocks(), neg.blocks()),
-                "misclassified fold tier mismatch"
-            );
-        }
+    /// The misclassification count by definition, one bit at a time.
+    fn misclassified_by_bits(row: &Cs, pos: &Cs, neg: &Cs, len: usize) -> usize {
+        (0..len)
+            .filter(|&w| (pos.get(w) && !row.get(w)) || (neg.get(w) && row.get(w)))
+            .count()
     }
 
     #[test]
-    fn simd_tier_matches_scalar_on_wide_closures() {
-        // 8 blocks per row: the AVX2 fold quads and the concat quad rows
-        // genuinely engage here (on hosts whose probe finds a tier; on
-        // scalar hosts the accelerated entry points fall back and the
-        // assertions hold trivially — the force-scalar env knob produces
-        // exactly that configuration).
-        let ic = wide_closure(8);
-        assert!(ic.width().blocks() >= 8);
-        let gm = GuideMasks::build(&ic);
-        for (ea, eb) in [
-            ("(0+1)*", "(0?1)*"),
-            ("0(0+1)*", "1"),
-            ("(01)*", "(10)*0?"),
-            ("∅", "(0+1)*"),
-            ("ε", "11(0+1)*"),
-        ] {
-            let a = ic.cs_of_regex(&parse(ea).unwrap());
-            let b = ic.cs_of_regex(&parse(eb).unwrap());
-            assert_simd_parity(&ic, &gm, &a, &b);
-        }
-    }
-
-    proptest! {
-        /// SIMD ≡ scalar for concat, star and the satisfy folds on random
-        /// closures and operands — covering narrow rows (scalar fallback
-        /// inside the accelerated entry points) and multi-block rows
-        /// (lanes engaged) alike.
-        #[test]
-        fn simd_tier_matches_scalar_on_random_closures(
-            words in proptest::collection::vec("[01]{0,8}", 1..24),
-            ea in "[01+*?]{1,6}",
-            eb in "[01+*?]{1,6}",
-        ) {
-            let (ra, rb) = match (parse(&ea), parse(&eb)) {
-                (Ok(a), Ok(b)) => (a, b),
-                _ => return Ok(()),
-            };
-            let ic = InfixClosure::of_words(words.iter().map(|s| Word::from(s.as_str())));
-            if ic.is_empty() { return Ok(()); }
-            let gm = GuideMasks::build(&ic);
-            let a = ic.cs_of_regex(&ra);
-            let b = ic.cs_of_regex(&rb);
-            assert_simd_parity(&ic, &gm, &a, &b);
+    fn kernels_match_oracles_on_wide_closures() {
+        for max_len in 8..=10 {
+            let ic = wide_closure(max_len);
+            assert!(ic.width().blocks() >= 8);
+            let (gt, gm) = (GuideTable::build(&ic), GuideMasks::build(&ic));
+            let width = ic.width();
+            let eps = ic.eps_index().unwrap();
+            let mut scratch = vec![0u64; width.blocks()];
+            for (ea, eb) in [
+                ("(0+1)*", "(0?1)*"),
+                ("0(0+1)*", "1"),
+                ("(01)*", "(10)*0?"),
+                ("∅", "(0+1)*"),
+                ("ε", "11(0+1)*"),
+            ] {
+                let a = ic.cs_of_regex(&parse(ea).unwrap());
+                let b = ic.cs_of_regex(&parse(eb).unwrap());
+                let mut masked = Cs::zero(width);
+                let mut unstaged = Cs::zero(width);
+                concat_into(masked.blocks_mut(), a.blocks(), b.blocks(), &gm);
+                concat_into_unstaged(unstaged.blocks_mut(), a.blocks(), b.blocks(), &ic);
+                assert_eq!(masked, unstaged, "{ea} · {eb} at len ≤ {max_len}");
+                for w in 0..ic.len() {
+                    assert_eq!(
+                        concat_word_bit(a.blocks(), b.blocks(), &gt, w),
+                        unstaged.get(w),
+                        "word-bit {w} of {ea} · {eb} at len ≤ {max_len}"
+                    );
+                }
+                let mut squared = Cs::zero(width);
+                let mut linear = Cs::zero(width);
+                star_into(squared.blocks_mut(), a.blocks(), &gm, eps, &mut scratch);
+                star_into_linear(linear.blocks_mut(), a.blocks(), &gt, eps, &mut scratch);
+                assert_eq!(squared, linear, "({ea})* at len ≤ {max_len}");
+                for (row, pos, neg) in [(&a, &b, &masked), (&masked, &a, &b)] {
+                    let wrong = misclassified_by_bits(row, pos, neg, ic.len());
+                    assert_eq!(
+                        misclassified(row.blocks(), pos.blocks(), neg.blocks()),
+                        wrong
+                    );
+                    assert_eq!(
+                        satisfies(row.blocks(), pos.blocks(), neg.blocks()),
+                        wrong == 0
+                    );
+                }
+            }
         }
     }
 
@@ -693,13 +576,15 @@ mod tests {
             prop_assert_eq!(&squared, &star);
         }
 
-        /// The three concatenation implementations — mask-based
-        /// (`concat_into`), split-gather (`concat_into_gather`) and
-        /// unstaged (`concat_into_unstaged`) — agree on random closures
-        /// and random operand rows.
+        /// The four concatenation implementations — mask-based
+        /// (`concat_into`), split-gather (`concat_into_gather`), the GPU
+        /// word-bit body (`concat_word_bit`) and unstaged
+        /// (`concat_into_unstaged`) — agree on random closures and random
+        /// operand rows, from one block up to eight. The satisfy folds
+        /// match their bit-by-bit definition on the same rows.
         #[test]
         fn concat_implementations_agree_on_random_closures(
-            words in proptest::collection::vec("[01]{0,6}", 1..5),
+            words in proptest::collection::vec("[01]{0,14}", 1..24),
             ea in "[01+*?]{1,6}",
             eb in "[01+*?]{1,6}",
         ) {
@@ -720,13 +605,19 @@ mod tests {
             concat_into_unstaged(unstaged.blocks_mut(), a.blocks(), b.blocks(), &ic);
             prop_assert_eq!(&masked, &gathered, "{} · {}", ra, rb);
             prop_assert_eq!(&masked, &unstaged, "{} · {}", ra, rb);
+            for w in 0..ic.len() {
+                prop_assert_eq!(concat_word_bit(a.blocks(), b.blocks(), &gt, w), unstaged.get(w));
+            }
+            let wrong = misclassified_by_bits(&a, &b, &masked, ic.len());
+            prop_assert_eq!(misclassified(a.blocks(), b.blocks(), masked.blocks()), wrong);
+            prop_assert_eq!(satisfies(a.blocks(), b.blocks(), masked.blocks()), wrong == 0);
         }
 
         /// Star by squaring equals the linear fixed-point iteration on
-        /// random closures and random operands.
+        /// random closures (one block up to eight) and random operands.
         #[test]
         fn star_squaring_agrees_with_linear_iteration(
-            words in proptest::collection::vec("[01]{0,6}", 1..5),
+            words in proptest::collection::vec("[01]{0,14}", 1..24),
             expr in "[01+*?]{1,6}",
         ) {
             let r = match parse(&expr) { Ok(r) => r, Err(_) => return Ok(()) };

@@ -56,6 +56,11 @@ mod imp {
     }
 
     #[cfg(test)]
+    pub fn reset() {
+        TRIPPED.store(false, Ordering::SeqCst);
+    }
+
+    #[cfg(test)]
     pub const TEST_SIGTERM: i32 = SIGTERM;
 }
 
@@ -104,5 +109,8 @@ mod tests {
         assert!(shutdown_tripped(), "SIGTERM takes the graceful path");
         // The legacy name observes the same flag.
         assert!(sigint_tripped());
+        // Every server the other tests of this binary run polls the same
+        // process-wide flag, and a tripped flag drains them mid-test.
+        imp::reset();
     }
 }
