@@ -182,9 +182,16 @@ pub fn concat_into_gather(dst: &mut [u64], a: &[u64], b: &[u64], guide: &GuideTa
 /// This is the definition-level oracle the property tests check the
 /// staged kernels against, and the baseline for the guide-table ablation
 /// benchmark (`crates/bench/benches/ablation.rs`): it recomputes, for
-/// every target word, every split and
-/// two hash look-ups into the closure, which is exactly the work the guide
-/// table pre-computes once per synthesis run.
+/// every target word, every split as two `Word`s and looks both up in the
+/// closure by walking its trie from the root, which is exactly the work
+/// the guide table pre-computes once per synthesis run.
+///
+/// It shares the closure with the staged kernels but none of their split
+/// walk: it finds each half with [`crate::InfixClosure::index_of`], while
+/// the staged tables follow the closure's parent and suffix links. Those
+/// links and `index_of` are checked against the definition of the closure
+/// (every infix of every example, in shortlex order) by the closure's own
+/// tests, which is what keeps this oracle independent of the fast path.
 pub fn concat_into_unstaged(dst: &mut [u64], a: &[u64], b: &[u64], ic: &crate::InfixClosure) {
     clear(dst);
     for (w, word) in ic.iter() {

@@ -19,6 +19,29 @@
 //! operand — no per-split bit tests at all. See
 //! [`crate::csops::concat_into`].
 //!
+//! # Building the tables
+//!
+//! Both tables are built from indices alone, by walks over the
+//! [`InfixClosure`]'s trie, whose nodes are numbered in shortlex order.
+//! Each node knows the index of its word without the last char (its
+//! parent) and without the first char (its suffix link), and the children
+//! of a node are one index range sorted by char.
+//!
+//! * The pair table is word-major. The `c`-th split of a word `w` of
+//!   length `n` is `(parentⁿ⁻ᶜ(w), linkᶜ(w))`, so walking both chains from
+//!   `w` lists its `n + 1` splits.
+//! * The mask table is left-major. The splits with left half `word(l)`
+//!   are the words `w` in the trie below `l`, each paired with its
+//!   remainder `r`; a breadth-first walk of that subtree finds the `r` of
+//!   each child from its parent's `r` with one binary search among
+//!   children. The row is then sorted by the entry key
+//!   `(right_block, target_block, shift)` and every run of equal keys
+//!   becomes one entry.
+//!
+//! Neither build creates a `Word` or hashes anything. The pair table
+//! costs O(total splits); the mask table O(total splits) child look-ups
+//! plus the per-row sorts, with one reused row buffer as scratch.
+//!
 //! # Memory trade-off
 //!
 //! The pair table costs 8 bytes per split, always. A mask entry costs 32
@@ -64,31 +87,24 @@ pub struct GuideTable {
 }
 
 impl GuideTable {
-    /// Builds the guide table for an infix closure.
+    /// Builds the guide table for an infix closure, listing each word's
+    /// splits by the parent and link walks of the closure (see the module
+    /// docs).
     ///
     /// # Panics
     ///
-    /// Panics if the closure has more than `u32::MAX` members (far beyond
-    /// any feasible memory budget).
+    /// Panics if the closure has more than `u32::MAX` members or splits
+    /// (far beyond any feasible memory budget).
     pub fn build(ic: &InfixClosure) -> Self {
         assert!(ic.len() <= u32::MAX as usize, "infix closure too large");
         let mut offsets = Vec::with_capacity(ic.len() + 1);
         let mut pairs = Vec::new();
         offsets.push(0u32);
-        for (_, word) in ic.iter() {
-            let n = word.len();
-            for cut in 0..=n {
-                let left = word.infix(0, cut);
-                let right = word.infix(cut, n);
-                let li = ic
-                    .index_of(&left)
-                    .expect("prefix of a closure word must be in the closure");
-                let ri = ic
-                    .index_of(&right)
-                    .expect("suffix of a closure word must be in the closure");
-                pairs.push((li as u32, ri as u32));
-            }
-            offsets.push(pairs.len() as u32);
+        for (w, word) in ic.iter() {
+            let start = pairs.len();
+            pairs.resize(start + word.len() + 1, (0, 0));
+            ic.splits_into(w, &mut pairs[start..]);
+            offsets.push(u32::try_from(pairs.len()).expect("guide table too large"));
         }
         GuideTable { offsets, pairs }
     }
@@ -203,59 +219,42 @@ pub struct GuideMasks {
 impl GuideMasks {
     /// Builds the mask table for an infix closure.
     ///
+    /// Row `l` collects every split `(l, r) → w` by walking the trie
+    /// below `l` (see the module docs), sorts it by the entry key
+    /// `(right_block, target_block, shift)` and makes every run of equal
+    /// keys one entry. The cost is O(total splits) child look-ups plus the
+    /// per-row sorts, with no hashing and one reused row buffer.
+    ///
     /// # Panics
     ///
-    /// Panics if the closure has more than `u32::MAX` members.
+    /// Panics if the closure has more than `u32::MAX` members or the table
+    /// more than `u32::MAX` entries.
     pub fn build(ic: &InfixClosure) -> Self {
         assert!(ic.len() <= u32::MAX as usize, "infix closure too large");
-        // Bucket every split (l, r) → w of the closure by its left index.
-        // Shortlex order makes r (and therefore w) ascending within each
-        // bucket, so same-key splits are usually adjacent and the reverse
-        // key scan below matches the row's newest entry first.
-        let mut pairs_by_left: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ic.len()];
-        for (w, word) in ic.iter() {
-            let n = word.len();
-            for cut in 0..=n {
-                let li = ic
-                    .index_of(&word.infix(0, cut))
-                    .expect("prefix of a closure word must be in the closure");
-                let ri = ic
-                    .index_of(&word.infix(cut, n))
-                    .expect("suffix of a closure word must be in the closure");
-                pairs_by_left[li].push((ri as u32, w as u32));
-            }
-        }
-
+        let mut row: Vec<(u32, u32)> = Vec::new();
+        let key = |&(r, w): &(u32, u32)| (r / 64, w / 64, (w % 64) as i8 - (r % 64) as i8);
         let mut offsets = Vec::with_capacity(ic.len() + 1);
         let mut entries: Vec<MaskEntry> = Vec::new();
         offsets.push(0u32);
-        for pairs in &mut pairs_by_left {
-            pairs.sort_unstable();
-            let row_start = entries.len();
-            for &(r, w) in pairs.iter() {
-                let right_block = r / 64;
-                let target_block = w / 64;
-                let shift = (w % 64) as i8 - (r % 64) as i8;
-                let slot = entries[row_start..].iter_mut().rev().find(|e| {
-                    e.right_block == right_block
-                        && e.target_block == target_block
-                        && e.shift == shift
-                });
-                match slot {
-                    Some(entry) => {
-                        entry.right_mask |= 1u64 << (r % 64);
-                        entry.target_mask |= 1u64 << (w % 64);
-                    }
-                    None => entries.push(MaskEntry {
-                        right_block,
-                        target_block,
-                        shift,
-                        right_mask: 1u64 << (r % 64),
-                        target_mask: 1u64 << (w % 64),
-                    }),
+        for l in 0..ic.len() {
+            ic.left_splits_into(l, &mut row);
+            row.sort_unstable_by_key(key);
+            for group in row.chunk_by(|a, b| key(a) == key(b)) {
+                let (right_block, target_block, shift) = key(&group[0]);
+                let mut entry = MaskEntry {
+                    right_block,
+                    target_block,
+                    shift,
+                    right_mask: 0,
+                    target_mask: 0,
+                };
+                for &(r, w) in group {
+                    entry.right_mask |= 1u64 << (r % 64);
+                    entry.target_mask |= 1u64 << (w % 64);
                 }
+                entries.push(entry);
             }
-            offsets.push(entries.len() as u32);
+            offsets.push(u32::try_from(entries.len()).expect("mask table too large"));
         }
         GuideMasks { offsets, entries }
     }
@@ -371,6 +370,10 @@ mod tests {
         let mut splits = Vec::new();
         for l in 0..gm.num_left() {
             for entry in gm.row(l) {
+                assert_eq!(
+                    entry.right_mask.count_ones(),
+                    entry.target_mask.count_ones()
+                );
                 let mut bits = entry.right_mask;
                 while bits != 0 {
                     let bit = bits.trailing_zeros() as i32;
@@ -442,33 +445,54 @@ mod tests {
         assert_eq!(gm.memory_bytes(), std::mem::size_of::<u32>());
     }
 
+    /// Random example sets: binary words of up to 14 chars (closures of
+    /// one to eight blocks per row) or words over three letters.
+    fn random_words() -> impl Strategy<Value = Vec<String>> {
+        prop_oneof![
+            proptest::collection::vec("[01]{0,14}", 1..24),
+            proptest::collection::vec("[abc]{0,10}", 1..24),
+        ]
+    }
+
     proptest! {
         /// The mask table and the pair table encode the same split
-        /// relation on random closures.
+        /// relation on random closures, with one entry per key in each
+        /// row.
         #[test]
-        fn masks_agree_with_table_on_random_closures(
-            words in proptest::collection::vec("[01]{0,6}", 1..5)
-        ) {
+        fn masks_agree_with_table_on_random_closures(words in random_words()) {
             let ic = InfixClosure::of_words(words.iter().map(|s| Word::from(s.as_str())));
             let gt = GuideTable::build(&ic);
             let gm = GuideMasks::build(&ic);
             prop_assert_eq!(expand_masks(&gm), expand_table(&gt));
+            for l in 0..gm.num_left() {
+                let mut keys: Vec<_> = gm
+                    .row(l)
+                    .iter()
+                    .map(|e| (e.right_block, e.target_block, e.shift))
+                    .collect();
+                let entries = keys.len();
+                keys.sort_unstable();
+                keys.dedup();
+                prop_assert_eq!(keys.len(), entries);
+            }
         }
     }
 
     proptest! {
         /// Every split listed is valid and every valid split is listed.
         #[test]
-        fn splits_sound_and_complete(words in proptest::collection::vec("[01]{0,5}", 1..4)) {
+        fn splits_sound_and_complete(words in random_words()) {
             let ic = InfixClosure::of_words(words.iter().map(|s| Word::from(s.as_str())));
             let gt = GuideTable::build(&ic);
             for (i, word) in ic.iter() {
                 let splits = gt.splits(i);
-                // Sound (checked via reconstruction) and complete (count).
-                for &(l, r) in splits {
+                prop_assert_eq!(splits.len(), word.len() + 1);
+                // Sound: the halves rebuild the word. Complete: the c-th
+                // split cuts after c chars, so all len + 1 cuts appear.
+                for (cut, &(l, r)) in splits.iter().enumerate() {
+                    prop_assert_eq!(ic.word(l as usize).len(), cut);
                     prop_assert_eq!(&ic.word(l as usize).concat(ic.word(r as usize)), word);
                 }
-                prop_assert_eq!(splits.len(), word.len() + 1);
             }
         }
     }

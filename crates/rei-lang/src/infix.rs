@@ -1,6 +1,21 @@
 //! The infix closure `ic(P ∪ N)` and its shortlex indexing.
+//!
+//! The closure is stored as the trie of all its words. Every suffix of
+//! every example is inserted into a trie; since a trie holds every prefix
+//! of what it stores, its nodes are exactly the infixes. The nodes are
+//! then numbered breadth-first, visiting the children of each node in
+//! `char` order. That numbering is shortlex order (breadth-first visits
+//! shorter words first, and within one length it compares parents first,
+//! then last chars), so a node's number *is* the word's closure index, and
+//! the children of every node occupy one contiguous index range.
+//!
+//! Per node the closure keeps the index of the word without its last char
+//! (`parent`) and without its first char (`link`, the trie's suffix link).
+//! Both are total on an infix-closed set, and together they give every
+//! split of a word by two index walks ([`InfixClosure::splits_into`]).
+//! The splits that share a left half are the trie below it, walked
+//! level by level ([`InfixClosure::left_splits_into`]).
 
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use rei_syntax::Regex;
@@ -32,9 +47,23 @@ use crate::{Cs, CsWidth, Spec, Word};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InfixClosure {
+    /// The words, in shortlex order (node `i` spells `words[i]`).
     words: Vec<Word>,
-    index: HashMap<Word, usize>,
+    /// `parent[i]`: the index of `word(i)` without its last char (the
+    /// root `ε` is its own parent).
+    parent: Vec<u32>,
+    /// `link[i]`: the index of `word(i)` without its first char (the root
+    /// links to itself).
+    link: Vec<u32>,
+    /// `last[i]`: the last char of `word(i)` (`'\0'` for the root).
+    last: Vec<char>,
+    /// The children of node `i` are `child_start[i]..child_start[i + 1]`,
+    /// in ascending order of their `last` char.
+    child_start: Vec<u32>,
 }
+
+/// Sentinel for "no node" in the build-time trie.
+const NONE: u32 = u32::MAX;
 
 impl InfixClosure {
     /// Builds the infix closure of all examples of `spec`.
@@ -43,20 +72,168 @@ impl InfixClosure {
     }
 
     /// Builds the infix closure of an arbitrary finite set of words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the closure has `u32::MAX` or more members (far beyond
+    /// any feasible memory budget).
     pub fn of_words<I: IntoIterator<Item = Word>>(words: I) -> Self {
-        let mut closure: BTreeSet<Word> = BTreeSet::new();
+        // Build-time trie in insertion order: each node's children form a
+        // singly linked sibling list kept sorted by char.
+        let mut first_child: Vec<u32> = vec![NONE];
+        let mut next_sibling: Vec<u32> = vec![NONE];
+        let mut label: Vec<char> = vec!['\0'];
+        let mut any_word = false;
         for word in words {
-            for infix in word.infixes() {
-                closure.insert(infix);
+            any_word = true;
+            let chars = word.chars();
+            for start in 0..chars.len() {
+                let mut node = 0usize;
+                for &c in &chars[start..] {
+                    let mut prev = NONE;
+                    let mut cur = first_child[node];
+                    while cur != NONE && label[cur as usize] < c {
+                        prev = cur;
+                        cur = next_sibling[cur as usize];
+                    }
+                    if cur == NONE || label[cur as usize] != c {
+                        let fresh = u32::try_from(label.len())
+                            .ok()
+                            .filter(|&id| id != NONE)
+                            .expect("infix closure too large");
+                        first_child.push(NONE);
+                        next_sibling.push(cur);
+                        label.push(c);
+                        if prev == NONE {
+                            first_child[node] = fresh;
+                        } else {
+                            next_sibling[prev as usize] = fresh;
+                        }
+                        cur = fresh;
+                    }
+                    node = cur as usize;
+                }
             }
         }
-        let words: Vec<Word> = closure.into_iter().collect();
-        let index = words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), i))
-            .collect();
-        InfixClosure { words, index }
+        if !any_word {
+            return InfixClosure {
+                words: Vec::new(),
+                parent: Vec::new(),
+                link: Vec::new(),
+                last: Vec::new(),
+                child_start: vec![0],
+            };
+        }
+
+        // Number the nodes breadth-first, children in char order: the
+        // queue position of a node is its shortlex index.
+        let n = label.len();
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        let mut parent: Vec<u32> = Vec::with_capacity(n);
+        let mut last: Vec<char> = Vec::with_capacity(n);
+        let mut child_start: Vec<u32> = Vec::with_capacity(n + 1);
+        queue.push(0);
+        parent.push(0);
+        last.push('\0');
+        let mut head = 0;
+        while head < queue.len() {
+            child_start.push(queue.len() as u32);
+            let mut child = first_child[queue[head] as usize];
+            while child != NONE {
+                queue.push(child);
+                parent.push(head as u32);
+                last.push(label[child as usize]);
+                child = next_sibling[child as usize];
+            }
+            head += 1;
+        }
+        child_start.push(n as u32);
+
+        let mut closure = InfixClosure {
+            words: Vec::with_capacity(n),
+            parent,
+            link: Vec::with_capacity(n),
+            last,
+            child_start,
+        };
+        closure.words.push(Word::epsilon());
+        closure.link.push(0);
+        for i in 1..n {
+            let p = closure.parent[i] as usize;
+            let c = closure.last[i];
+            // link(v) = child(link(parent(v)), last(v)); both operands have
+            // smaller indices, so they are already known.
+            let link = if p == 0 {
+                0
+            } else {
+                closure
+                    .child(closure.link[p] as usize, c)
+                    .expect("suffix of a closure word must be in the closure")
+            };
+            closure.link.push(link as u32);
+            let word = Word::new(closure.words[p].chars().iter().copied().chain([c]));
+            closure.words.push(word);
+        }
+        closure
+    }
+
+    /// The index of `word(v) · c`, if it is in the closure.
+    fn child(&self, v: usize, c: char) -> Option<usize> {
+        let lo = self.child_start[v] as usize;
+        let hi = self.child_start[v + 1] as usize;
+        self.last[lo..hi].binary_search(&c).ok().map(|k| lo + k)
+    }
+
+    /// Writes the splits of word `w` into `out`, which must hold exactly
+    /// `word(w).len() + 1` pairs: `out[c]` is the pair of indices of the
+    /// first `c` chars of `word(w)` and of the rest.
+    ///
+    /// The prefixes are the `parent` chain of `w` and the suffixes its
+    /// `link` chain, so this is two index walks of `len + 1` steps each,
+    /// with no allocation and no look-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != word(w).len() + 1`.
+    pub(crate) fn splits_into(&self, w: usize, out: &mut [(u32, u32)]) {
+        assert_eq!(out.len(), self.words[w].len() + 1, "split buffer size");
+        let mut suffix = w as u32;
+        for pair in out.iter_mut() {
+            pair.1 = suffix;
+            suffix = self.link[suffix as usize];
+        }
+        let mut prefix = w as u32;
+        for pair in out.iter_mut().rev() {
+            pair.0 = prefix;
+            prefix = self.parent[prefix as usize];
+        }
+    }
+
+    /// Fills `out` with the pair `(r, w)` of every split
+    /// `word(w) = word(l) · word(r)` whose left half is `word(l)`, in
+    /// ascending `w`.
+    ///
+    /// The words that start with `word(l)` are the trie below `l`; walking
+    /// it level by level, children in index order, lists them in shortlex
+    /// order. The right half of a child `y` of `x` is the child of `x`'s
+    /// right half by `y`'s last char, one binary search away.
+    pub(crate) fn left_splits_into(&self, l: usize, out: &mut Vec<(u32, u32)>) {
+        out.clear();
+        out.push((0, l as u32));
+        let mut level = 0..1;
+        while !level.is_empty() {
+            let next = out.len();
+            for k in level {
+                let (r, x) = out[k];
+                for y in self.child_start[x as usize]..self.child_start[x as usize + 1] {
+                    let ry = self
+                        .child(r as usize, self.last[y as usize])
+                        .expect("suffix of a closure word must be in the closure");
+                    out.push((ry as u32, y));
+                }
+            }
+            level = next..out.len();
+        }
     }
 
     /// Number of words in the closure (`#ic(P ∪ N)`, the `k` of the
@@ -90,9 +267,15 @@ impl InfixClosure {
         &self.words
     }
 
-    /// Index of `word` in the closure, if present.
+    /// Index of `word` in the closure, if present: a walk down the trie
+    /// with one binary search among the children per char.
     pub fn index_of(&self, word: &Word) -> Option<usize> {
-        self.index.get(word).copied()
+        if self.words.is_empty() {
+            return None;
+        }
+        word.chars()
+            .iter()
+            .try_fold(0, |node, &c| self.child(node, c))
     }
 
     /// Index of the empty word, if the closure is non-empty. With shortlex
@@ -164,6 +347,8 @@ impl fmt::Display for InfixClosure {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use proptest::prelude::*;
     use rei_syntax::parse;
@@ -261,26 +446,45 @@ mod tests {
         assert_eq!(ic.cs_of_literal('x').count_ones(), 0);
     }
 
+    /// The closure as Definition 2.2 states it: every infix of every
+    /// generator, deduplicated and sorted by shortlex. The trie build is
+    /// checked against it.
+    fn reference_closure(generators: &[Word]) -> BTreeSet<Word> {
+        generators.iter().flat_map(Word::infixes).collect()
+    }
+
     proptest! {
-        /// The closure contains exactly the infixes of its generators.
+        /// The trie closure equals the reference word for word, in order;
+        /// `index_of` finds every member at its index and rejects every
+        /// non-member; `parent` and `link` drop the last and the first
+        /// char. Three letters, one of them multi-byte, give nodes with
+        /// more than two children.
         #[test]
-        fn closure_is_sound_and_complete(words in proptest::collection::vec("[01]{0,6}", 0..5)) {
+        fn closure_is_sound_and_complete(words in proptest::collection::vec("[ab€]{0,16}", 0..6)) {
             let generators: Vec<Word> = words.iter().map(|s| Word::from(s.as_str())).collect();
             let ic = InfixClosure::of_words(generators.clone());
-            // Sound: every member is an infix of some generator.
-            for (_, w) in ic.iter() {
+            let reference = reference_closure(&generators);
+            prop_assert!(ic.words().iter().eq(reference.iter()));
+            for (i, w) in ic.iter() {
+                // Sound: every member is an infix of some generator.
                 prop_assert!(generators.iter().any(|g| g.contains_infix(w)));
-            }
-            // Complete: every infix of every generator is a member.
-            for g in &generators {
-                for infix in g.infixes() {
-                    prop_assert!(ic.index_of(&infix).is_some());
+                prop_assert_eq!(ic.index_of(w), Some(i));
+                if i > 0 {
+                    let chars = w.chars();
+                    prop_assert_eq!(ic.word(ic.parent[i] as usize).chars(), &chars[..chars.len() - 1]);
+                    prop_assert_eq!(ic.word(ic.link[i] as usize).chars(), &chars[1..]);
+                }
+                // One char more is a member exactly when the reference
+                // has it; 'x' is outside the alphabet.
+                for c in ['a', 'b', '€', 'x'] {
+                    let longer = Word::new(w.chars().iter().copied().chain([c]));
+                    prop_assert_eq!(ic.index_of(&longer).is_some(), reference.contains(&longer));
                 }
             }
-            // Sorted by shortlex.
-            let mut sorted = ic.words().to_vec();
-            sorted.sort();
-            prop_assert_eq!(sorted.as_slice(), ic.words());
+            let longest = generators.iter().map(Word::len).max().unwrap_or(0);
+            let too_long = Word::new(std::iter::repeat_n('a', longest + 1));
+            prop_assert_eq!(ic.index_of(&too_long), None);
+            prop_assert_eq!(ic.index_of(&Word::epsilon()).is_some(), !generators.is_empty());
         }
     }
 }
